@@ -2,6 +2,7 @@ package repro.mpc
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
+import repro.core.Priorities
 import repro.graphs.GraphOps
 import repro.ref.Reference
 
@@ -16,7 +17,13 @@ import repro.ref.Reference
   * measured 2.59–3× — at three shuffles per round (min-neighbor
   * aggregation + two relabeling joins; the original-vertex label table is
   * maintained inside the relabeling rounds). Below `localThreshold`
-  * edges the residual is finished on one machine.
+  * edges the residual is finished on one machine. Reaching `maxRounds`
+  * with edges left throws.
+  *
+  * The state is one record per supervertex: its distinct neighbors and
+  * the original vertices it contains. It is already grouped by vertex,
+  * so Spark runs two physical shuffles per round (parents to neighbors,
+  * then regrouping by parent); the ledger counts the algorithm's three.
   */
 object LocalContractionCC {
 
@@ -39,96 +46,91 @@ object LocalContractionCC {
   ): Result = {
     import spark.implicits._
     val metrics = Metrics.fresh("mpc-cc")
+    val part = MpcRdd.partitioner(spark)
+    // supervertex -> (neighbors, original vertices); round 0 keeps the
+    // input's duplicate edges, as its edge count does.
+    var cur = MpcRdd
+      .adjacency(edges, part)
+      .mapPartitions(_.map { case (v, ns) => (v, (ns, Array(v))) }, preservesPartitioning = true)
     try {
-      var cur = edges.select("src", "dst").as[(Long, Long)].persist()
-      // orig vertex -> current supervertex
-      var labels = GraphOps
-        .vertices(edges)
-        .as[Long]
-        .map(v => (v, v))
-        .persist()
-
+      // Every edge sits in the lists of both endpoints.
+      var (vertexCount, edgeCount) = MpcRdd.materialise(cur)(_._2._1.length.toLong)
+      edgeCount /= 2
       var rounds = 0
       var done = false
       val traj = scala.collection.mutable.ArrayBuffer.empty[Long]
-      var finalLabels: DataFrame = null
-      while (!done && rounds < maxRounds) {
-        val edgeCount = cur.count()
+      var labels: DataFrame = null
+      var numComponents = 0L
+      while (!done) {
         traj += edgeCount
         if (edgeCount <= localThreshold) {
           // In-memory finish: union-find over the residual supergraph.
-          val rest = cur.collect()
-          val uf = new Reference.UnionFind()
-          rest.foreach { case (u, v) => uf.union(u, v) }
-          val roots = (rest.flatMap(e => Seq(e._1, e._2)).toSeq ++
-            labels.map(_._2).distinct().collect().toSeq).distinct
-          val comp = Reference.connectedComponents(roots, rest.toSeq)
-          val compOf = comp // captured map, small by construction
-          finalLabels = labels
-            .map { case (orig, curV) => (orig, compOf.getOrElse(curV, curV)) }
+          val rest = cur.flatMap { case (v, (ns, _)) => ns.iterator.filter(v < _).map(u => (v, u)) }.collect()
+          val compOf = Reference.connectedComponents(rest.flatMap(e => Seq(e._1, e._2)).distinct.toSeq, rest.toSeq)
+          // Supervertices without edges are components of their own.
+          numComponents = vertexCount - compOf.size + compOf.values.toSet.size
+          labels = cur
+            .flatMap { case (v, (_, members)) =>
+              val c = compOf.getOrElse(v, v)
+              members.iterator.map(o => (o, c))
+            }
             .toDF("id", "component")
             .persist()
+          labels.count()
           done = true
-        } else {
+        } else if (rounds == maxRounds) MpcRdd.capReached("LocalContractionCC", rounds, edgeCount)
+        else {
           rounds += 1
           // Shuffle 1: hang every vertex onto its minimum-*rank* neighbor
           // (fresh random ranks each round, as the hashed priorities of
           // the real implementation — raw ids would stall on
-          // sequentially-numbered cycles).
-          val roundSeed = repro.core.Priorities.splitmix64(seed ^ (7000L + rounds))
+          // sequentially-numbered cycles). The state is already grouped
+          // by vertex, so this runs inside the next two steps.
+          val roundSeed = Priorities.splitmix64(seed ^ (7000L + rounds))
+          def parent(v: Long, ns: Array[Long]): Long = {
+            var best = v
+            var bestR = Priorities.vertexRank(v, roundSeed)
+            ns.foreach { u =>
+              val ru = Priorities.vertexRank(u, roundSeed)
+              if (Priorities.precedes(ru, u, bestR, best)) { best = u; bestR = ru }
+            }
+            best
+          }
           metrics.shuffle(2 * edgeCount * GraphOps.EdgeBytes)
-          val parents = cur
-            .flatMap { case (u, v) => Iterator((u, v), (v, u)) }
-            .groupByKey(_._1)
-            .mapGroups { (v, it) =>
-              import repro.core.Priorities.{precedes, vertexRank}
-              var best = v
-              var bestR = vertexRank(v, roundSeed)
-              it.foreach { case (_, u) =>
-                val ru = vertexRank(u, roundSeed)
-                if (precedes(ru, u, bestR, best)) { best = u; bestR = ru }
-              }
-              (v, best)
-            }
-            .persist()
 
-          // Shuffle 2: relabel src (and fold the label-table update in).
+          // Shuffle 2: every vertex sends its parent to its neighbors.
           metrics.shuffle(edgeCount * GraphOps.EdgeBytes)
-          val afterU = cur
-            .groupByKey(_._1)
-            .cogroup(parents.groupByKey(_._1)) { (u, eIt, pIt) =>
-              val p = pIt.map(_._2).toSeq.headOption.getOrElse(u)
-              eIt.map { case (_, v) => (v, p) }
-            }
-          val newLabels = labels
-            .groupByKey(_._2)
-            .cogroup(parents.groupByKey(_._1)) { (curV, lIt, pIt) =>
-              val p = pIt.map(_._2).toSeq.headOption.getOrElse(curV)
-              lIt.map { case (orig, _) => (orig, p) }
-            }
-            .localCheckpoint() // truncate per-round lineage
+          val parentMsgs = cur.flatMap { case (v, (ns, _)) =>
+            val p = parent(v, ns)
+            ns.iterator.map(u => (u, p))
+          }
 
-          // Shuffle 3: relabel dst, drop loops, dedup.
+          // Shuffle 3: every vertex sends its relabeled edges and its
+          // original vertices to its parent, which drops loops and dedups
+          // (the label table travels with the state).
           metrics.shuffle(edgeCount * GraphOps.EdgeBytes)
-          val next = afterU
-            .groupByKey(_._1)
-            .cogroup(parents.groupByKey(_._1)) { (v, eIt, pIt) =>
-              val p = pIt.map(_._2).toSeq.headOption.getOrElse(v)
-              eIt.flatMap { case (_, u2) =>
-                if (u2 == p) Iterator.empty
-                else Iterator.single((math.min(u2, p), math.max(u2, p)))
+          val next = cur
+            .cogroup(parentMsgs, part)
+            .flatMap { case (u, (states, ps)) =>
+              states.iterator.map { case (ns, members) =>
+                val p = parent(u, ns)
+                (p, (ps.iterator.filter(_ != p).toArray, members))
               }
             }
-            .distinct()
-            .localCheckpoint() // truncate per-round lineage
-
-          cur.unpersist(); labels.unpersist(); parents.unpersist()
+            .groupByKey(part)
+            .mapValues { parts =>
+              (parts.iterator.flatMap(_._1.iterator).toArray.distinct, parts.iterator.flatMap(_._2.iterator).toArray)
+            }
+          val size = MpcRdd.materialise(next)(_._2._1.length.toLong)
+          cur.unpersist()
           cur = next
-          labels = newLabels
+          vertexCount = size._1; edgeCount = size._2 / 2
         }
       }
-      val num = finalLabels.select("component").distinct().count()
-      Result(finalLabels, num, rounds, traj.toSeq, metrics.snapshot)
-    } finally metrics.close()
+      Result(labels, numComponents, rounds, traj.toSeq, metrics.snapshot)
+    } finally {
+      cur.unpersist()
+      metrics.close()
+    }
   }
 }

@@ -3,7 +3,6 @@ package repro.mpc
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities
-import repro.graphs.GraphOps
 import repro.ref.Reference
 
 /** MPC Maximal Matching — the rootset-based algorithm of §5.4, "very
@@ -15,7 +14,8 @@ import repro.ref.Reference
   * exchanging per-endpoint minimum ranks so both endpoints of a candidate
   * edge can agree it is matched, and pruning the matched vertices out of
   * the surviving adjacency lists. Below `localThreshold` edges the
-  * residual graph is finished on one machine.
+  * residual graph is finished on one machine. Reaching `maxPhases` with
+  * edges left throws.
   *
   * Computes the same lexicographically-first matching as
   * [[repro.core.AmpcMatching]] (same [[Priorities]] ranks).
@@ -35,96 +35,93 @@ object MpcMatching {
       localThreshold: Long = 2048,
       maxPhases: Int = 200,
   ): Result = {
-    import spark.implicits._
     val metrics = Metrics.fresh("mpc-mm")
+    val part = MpcRdd.partitioner(spark)
+    // Adjacency lists (input formatting, uncounted); edge ranks are
+    // hashes, recomputed where needed.
+    var adj = MpcRdd.adjacency(edges, part)
     try {
-      // Adjacency lists carrying edge ranks (input formatting, uncounted).
-      var adj = GraphOps
-        .symmetrize(edges.select("src", "dst"))
-        .as[(Long, Long)]
-        .groupByKey(_._1)
-        .mapGroups { (v, it) =>
-          val ns = it.map(_._2).toArray.sorted
-          (v, ns, ns.map(u => Priorities.edgeRank(v, u, seed)))
-        }
-        .persist()
-
+      var (nodeCount, edgeCount) = MpcRdd.materialise(adj)(_._2.length.toLong)
       val matched = scala.collection.mutable.Set.empty[(Long, Long)]
       var phases = 0
       var done = false
-      while (!done && phases < maxPhases) {
-        val edgeCount = if (adj.isEmpty) 0L else adj.map(_._2.length.toLong).reduce(_ + _)
+      while (!done) {
         if (edgeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
           val local = adj.collect()
           val es = local
-            .flatMap { case (v, ns, _) => ns.map(u => (v, u)) }
+            .flatMap { case (v, ns) => ns.map(u => (v, u)) }
             .filter(p => p._1 < p._2)
             .toSeq
           matched ++= Reference.lfMatching(es, Priorities.edgeRank(_, _, seed))
           done = true
-        } else {
+        } else if (phases == maxPhases) MpcRdd.capReached("MpcMatching", phases, edgeCount / 2)
+        else {
           phases += 1
+          // v's minimum-rank incident edge, as (neighbor, rank).
+          def minEdge(v: Long, ns: Array[Long]): (Long, Long) = {
+            var best = ns(0); var bestR = Priorities.edgeRank(v, best, seed)
+            ns.foreach { u =>
+              val r = Priorities.edgeRank(v, u, seed)
+              if (r < bestR) { best = u; bestR = r }
+            }
+            (best, bestR)
+          }
+
           // Shuffle 1: every vertex sends its minimum incident rank to
           // all neighbors, so edge (v,u) is recognized at both endpoints
           // as matched iff its rank is minimal at v AND at u.
-          metrics.shuffle((2 * edgeCount + adj.count()) * 8)
-          val msgs = adj.flatMap { case (v, ns, rs) =>
-            if (rs.isEmpty) Iterator.empty
+          metrics.shuffle((2 * edgeCount + nodeCount) * 8)
+          val msgs = adj.flatMap { case (v, ns) =>
+            if (ns.isEmpty) Iterator.empty
             else {
-              val mv = rs.min
-              ns.iterator.map(u => (u, v, mv))
+              val mv = minEdge(v, ns)._2
+              ns.iterator.map(u => (u, (v, mv)))
             }
           }
-          val withNbrMin = adj
-            .groupByKey(_._1)
-            .cogroup(msgs.groupByKey(_._1)) { (v, aIt, mIt) =>
-              aIt.map { case (_, ns, rs) =>
-                val mins = mIt.map(t => (t._2, t._3)).toMap
-                (v, ns, rs, ns.map(mins.getOrElse(_, Long.MaxValue)))
-              }
-            }
-            .persist()
-
-          // Matched decision — a map over the joined records.
-          val matchedPairs = withNbrMin
-            .flatMap { case (v, ns, rs, nbrMin) =>
-              if (rs.isEmpty) Iterator.empty
-              else {
-                val myMin = rs.min
-                val i = rs.indexOf(myMin)
-                val u = ns(i)
-                if (nbrMin(i) == myMin && v < u) Iterator.single((v, u))
-                else Iterator.empty
-              }
-            }
-            .collect()
-          matched ++= matchedPairs
-          val matchedVs = matchedPairs.flatMap { case (a, b) => Seq(a, b) }.toSet
+          // Matched decision — a map over the joined records: v's
+          // minimum-rank edge (v, u) is matched iff it is u's too.
+          val marked = adj
+            .cogroup(msgs, part)
+            .mapPartitions(
+              _.flatMap { case (v, (as, ms)) =>
+                as.iterator.map { ns =>
+                  val mate =
+                    if (ns.isEmpty) None
+                    else {
+                      val (u, myMin) = minEdge(v, ns)
+                      if (ms.exists(m => m._1 == u && m._2 == myMin)) Some(u) else None
+                    }
+                  (v, (ns, mate))
+                }
+              },
+              preservesPartitioning = true,
+            )
+          matched ++= marked.flatMap { case (v, (_, mate)) => mate.filter(v < _).map(u => (v, u)) }.collect()
 
           // Shuffle 2: drop matched vertices and prune their ids from the
           // surviving adjacency lists.
-          metrics.shuffle((2 * edgeCount + adj.count()) * 8)
-          val deletions = adj
-            .filter(r => matchedVs(r._1))
-            .flatMap { case (v, ns, _) => ns.iterator.map(u => (u, v)) }
-          val next = adj
-            .filter(r => !matchedVs(r._1))
-            .groupByKey(_._1)
-            .cogroup(deletions.groupByKey(_._1)) { (v, aIt, dIt) =>
-              aIt.map { case (_, ns, rs) =>
-                val del = dIt.map(_._2).toSet
-                val keep = ns.indices.filterNot(i => del(ns(i)))
-                (v, keep.map(ns).toArray, keep.map(rs).toArray)
-              }
+          metrics.shuffle((2 * edgeCount + nodeCount) * 8)
+          val deletions = marked.flatMap { case (v, (ns, mate)) =>
+            if (mate.isDefined) ns.iterator.map(u => (u, v)) else Iterator.empty
+          }
+          val next = marked
+            .filter(_._2._2.isEmpty)
+            .cogroup(deletions, part)
+            .flatMapValues { case (as, ds) =>
+              val del = ds.toSet
+              as.iterator.map(_._1.filterNot(del))
             }
-            .localCheckpoint() // truncate per-phase lineage
+          val size = MpcRdd.materialise(next)(_._2.length.toLong)
           adj.unpersist()
-          withNbrMin.unpersist()
           adj = next
+          nodeCount = size._1; edgeCount = size._2
         }
       }
       Result(matched.toSet, phases, metrics.snapshot)
-    } finally metrics.close()
+    } finally {
+      adj.unpersist()
+      metrics.close()
+    }
   }
 }

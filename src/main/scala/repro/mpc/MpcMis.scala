@@ -3,7 +3,6 @@ package repro.mpc
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.ampc.{Metrics, RunMetrics}
 import repro.core.Priorities
-import repro.graphs.GraphOps
 import repro.ref.Reference
 
 /** MPC Maximal Independent Set — the rootset-based O(log n)-round
@@ -17,6 +16,7 @@ import repro.ref.Reference
   * neighbors out of the surviving adjacency lists (a join). Once the
   * residual graph has at most `localThreshold` edges it is solved on a
   * single machine (§5.3 found 5·10⁷ a good cutoff at cluster scale).
+  * Reaching `maxPhases` with edges left throws.
   *
   * Computes the same lexicographically-first MIS as [[repro.core.AmpcMis]]
   * because both draw ranks from [[Priorities]] with the same seed.
@@ -36,26 +36,17 @@ object MpcMis {
       localThreshold: Long = 2048,
       maxPhases: Int = 200,
   ): Result = {
-    import spark.implicits._
     val metrics = Metrics.fresh("mpc-mis")
+    val part = MpcRdd.partitioner(spark)
+    // Input representation: adjacency lists, one KV pair per vertex —
+    // the PCollection<KV<NodeId, Node>> of Figure 2.
+    var adj = MpcRdd.adjacency(edges, part)
     try {
-      // Input representation: adjacency lists, one KV pair per vertex —
-      // the PCollection<KV<NodeId, Node>> of Figure 2. Building it from
-      // the edge list is input formatting, not a counted phase shuffle
-      // (the paper's Table 3 counts 2 shuffles per phase).
-      var adj = GraphOps
-        .symmetrize(edges.select("src", "dst"))
-        .as[(Long, Long)]
-        .groupByKey(_._1)
-        .mapGroups { (v, it) => (v, it.map(_._2).toArray.sorted) }
-        .persist()
-
+      var (nodeCount, edgeCount) = MpcRdd.materialise(adj)(_._2.length.toLong)
       val mis = scala.collection.mutable.Set.empty[Long]
       var phases = 0
       var done = false
-      while (!done && phases < maxPhases) {
-        val edgeCount = if (adj.isEmpty) 0L else adj.map(_._2.length.toLong).reduce(_ + _)
-        val nodeCount = adj.count()
+      while (!done) {
         if (nodeCount == 0) done = true
         else if (edgeCount <= localThreshold) {
           // In-memory switch: finish the residual graph on one machine.
@@ -64,53 +55,46 @@ object MpcMis {
           val es = local.flatMap { case (v, ns) => ns.map(u => (v, u)) }.filter(p => p._1 < p._2).toSeq
           mis ++= Reference.lfMis(vs, es, Priorities.vertexRank(_, seed))
           done = true
-        } else {
+        } else if (phases == maxPhases) MpcRdd.capReached("MpcMis", phases, edgeCount / 2)
+        else {
           phases += 1
           // (1) LocalMinima — a map over adjacency lists.
           val rootset = adj.filter { case (v, ns) =>
             val vr = Priorities.vertexRank(v, seed)
             ns.forall(u => Priorities.precedes(vr, v, Priorities.vertexRank(u, seed), u))
           }
-          val newSet = rootset.map(_._1).collect()
-          mis ++= newSet
+          mis ++= rootset.keys.collect()
 
           // (2) ids of rootset nodes and their neighbors — a map.
-          val toRemove = rootset.flatMap { case (v, ns) => Iterator.single(v) ++ ns.iterator }
+          val toRemove = rootset.flatMap { case (v, ns) => (Iterator.single(v) ++ ns.iterator).map(x => (x, true)) }
 
           // (3) Mark nodes to remove — shuffle 1 (join graph with ids).
           metrics.shuffle((2 * edgeCount + nodeCount) * 8)
-          val marked = adj
-            .groupByKey(_._1)
-            .cogroup(toRemove.groupByKey(identity)) { (v, aIt, rIt) =>
-              aIt.map(a => (v, a._2, rIt.nonEmpty))
-            }
-            .persist()
+          val marked = adj.cogroup(toRemove, part).flatMapValues { case (as, rs) =>
+            as.iterator.map(ns => (ns, rs.nonEmpty))
+          }
 
           // (4) Removed nodes emit the edges to delete — a map.
-          val deletions = marked
-            .filter(_._3)
-            .flatMap { case (v, ns, _) => ns.iterator.map(u => (u, v)) }
+          val deletions = marked.flatMap { case (v, (ns, removed)) =>
+            if (removed) ns.iterator.map(u => (u, v)) else Iterator.empty
+          }
 
           // (5) Prune survivors' adjacency lists — shuffle 2.
           metrics.shuffle((2 * edgeCount + nodeCount) * 8)
-          // localCheckpoint truncates the logical plan: without it the
-          // per-phase lineage grows and Catalyst analysis dominates.
-          val next = marked
-            .filter(!_._3)
-            .groupByKey(_._1)
-            .cogroup(deletions.groupByKey(_._1)) { (v, aIt, dIt) =>
-              aIt.map { case (_, ns, _) =>
-                val del = dIt.map(_._2).toSet
-                (v, ns.filterNot(del))
-              }
-            }
-            .localCheckpoint()
+          val next = marked.filter(!_._2._2).cogroup(deletions, part).flatMapValues { case (as, ds) =>
+            val del = ds.toSet
+            as.iterator.map { case (ns, _) => ns.filterNot(del) }
+          }
+          val size = MpcRdd.materialise(next)(_._2.length.toLong)
           adj.unpersist()
-          marked.unpersist()
           adj = next
+          nodeCount = size._1; edgeCount = size._2
         }
       }
       Result(mis.toSet, phases, metrics.snapshot)
-    } finally metrics.close()
+    } finally {
+      adj.unpersist()
+      metrics.close()
+    }
   }
 }

@@ -1,9 +1,28 @@
 package repro.mpc
 
+import org.apache.spark.JobCount
+import org.apache.spark.sql.SparkSession
 import repro.{SparkSpec, TestGraphs}
 import repro.core.Priorities
 import repro.graphs.{GraphGen, GraphOps}
 import repro.ref.Reference
+
+/** Checks every MPC loop shares: cached data and Spark jobs per run. */
+object MpcChecks {
+
+  def persisted(spark: SparkSession): Set[Int] = spark.sparkContext.getPersistentRDDs.keySet.toSet
+
+  /** Runs `f` under a job group of its own; returns its result and the
+    * number of Spark jobs it ran.
+    */
+  def withJobCount[T](spark: SparkSession)(f: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    val group = s"mpc-budget-${java.util.UUID.randomUUID()}"
+    sc.setJobGroup(group, "MPC job budget")
+    val r = try f finally sc.clearJobGroup()
+    (r, JobCount.inGroup(sc, group))
+  }
+}
 
 class MpcMisSpec extends SparkSpec {
 
@@ -35,6 +54,27 @@ class MpcMisSpec extends SparkSpec {
     val large = MpcMis.run(spark, TestGraphs.toDf(spark, TestGraphs.randomEdges(256, 1024, 2)), 2, localThreshold = 0)
     assert(large.phases >= small.phases)
   }
+
+  test("throws when the phase cap leaves edges") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 100, 10))
+    assert(MpcMis.run(spark, df, 10, localThreshold = 0).phases > 1)
+    val e = intercept[IllegalStateException](MpcMis.run(spark, df, 10, localThreshold = 0, maxPhases = 1))
+    assert(e.getMessage.contains("MpcMis") && e.getMessage.contains("1 phases"))
+  }
+
+  test("leaves nothing cached") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 100, 10))
+    val before = MpcChecks.persisted(spark)
+    MpcMis.run(spark, df, 10, localThreshold = 8)
+    assert(MpcChecks.persisted(spark) == before)
+  }
+
+  test("at most two Spark jobs per phase, plus two per call") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 100, 10))
+    val (res, jobs) = MpcChecks.withJobCount(spark)(MpcMis.run(spark, df, 10, localThreshold = 0))
+    assert(res.phases > 1)
+    assert(jobs <= 2 * res.phases + 2, s"$jobs jobs in ${res.phases} phases")
+  }
 }
 
 class MpcMatchingSpec extends SparkSpec {
@@ -59,6 +99,27 @@ class MpcMatchingSpec extends SparkSpec {
     val edges = TestGraphs.randomEdges(40, 100, 10)
     val res = MpcMatching.run(spark, TestGraphs.toDf(spark, edges), 10, localThreshold = 0)
     assert(res.metrics.shuffles == 2L * res.phases)
+  }
+
+  test("throws when the phase cap leaves edges") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 100, 10))
+    assert(MpcMatching.run(spark, df, 10, localThreshold = 0).phases > 1)
+    val e = intercept[IllegalStateException](MpcMatching.run(spark, df, 10, localThreshold = 0, maxPhases = 1))
+    assert(e.getMessage.contains("MpcMatching") && e.getMessage.contains("1 phases"))
+  }
+
+  test("leaves nothing cached") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 100, 10))
+    val before = MpcChecks.persisted(spark)
+    MpcMatching.run(spark, df, 10, localThreshold = 8)
+    assert(MpcChecks.persisted(spark) == before)
+  }
+
+  test("at most two Spark jobs per phase, plus two per call") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(40, 100, 10))
+    val (res, jobs) = MpcChecks.withJobCount(spark)(MpcMatching.run(spark, df, 10, localThreshold = 0))
+    assert(res.phases > 1)
+    assert(jobs <= 2 * res.phases + 2, s"$jobs jobs in ${res.phases} phases")
   }
 }
 
@@ -94,6 +155,46 @@ class MpcMsfSpec extends SparkSpec {
       TestGraphs.connectedEdges(10, 5, 2).map { case (u, v) => (u + 100, v + 100) }, 2)
     val res = MpcMsf.run(spark, TestGraphs.toWeightedDf(spark, c1 ++ c2), 4, localThreshold = 4)
     assert(res.msf.size == (12 - 1) + (10 - 1))
+  }
+
+  private val k20 = for (u <- 0L until 20L; v <- u + 1 until 20L) yield (u, v)
+
+  test("equal weights on K20: every kept parallel edge follows the tie-break") {
+    val edges = k20.map { case (u, v) => (u, v, 1.0) }
+    val res = MpcMsf.run(spark, TestGraphs.toWeightedDf(spark, edges), 5, localThreshold = 0)
+    assert(res.phases > 1)
+    assert(res.msf.toSet == Reference.kruskal(edges).toSet)
+  }
+
+  test("degree weights on K20 equal Kruskal's forest") {
+    val weighted = GraphOps.withDegreeWeights(TestGraphs.toDf(spark, k20))
+    val res = MpcMsf.run(spark, weighted, 6, localThreshold = 0)
+    assert(res.phases > 1)
+    val expected = Reference
+      .kruskal(GraphOps.collectWeighted(weighted))
+      .map { case (u, v, w) => (math.min(u, v), math.max(u, v), w) }
+    assert(res.msf.toSet == expected.toSet)
+  }
+
+  test("throws when the phase cap leaves edges") {
+    val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(TestGraphs.randomEdges(40, 100, 9), 9))
+    assert(MpcMsf.run(spark, df, 9, localThreshold = 0).phases > 1)
+    val e = intercept[IllegalStateException](MpcMsf.run(spark, df, 9, localThreshold = 0, maxPhases = 1))
+    assert(e.getMessage.contains("MpcMsf") && e.getMessage.contains("1 phases"))
+  }
+
+  test("leaves nothing cached") {
+    val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(TestGraphs.randomEdges(40, 100, 9), 9))
+    val before = MpcChecks.persisted(spark)
+    MpcMsf.run(spark, df, 9, localThreshold = 4)
+    assert(MpcChecks.persisted(spark) == before)
+  }
+
+  test("at most two Spark jobs per phase, plus two per call") {
+    val df = TestGraphs.toWeightedDf(spark, TestGraphs.withWeights(TestGraphs.randomEdges(40, 100, 9), 9))
+    val (res, jobs) = MpcChecks.withJobCount(spark)(MpcMsf.run(spark, df, 9, localThreshold = 0))
+    assert(res.phases > 1)
+    assert(jobs <= 2 * res.phases + 2, s"$jobs jobs in ${res.phases} phases")
   }
 }
 
@@ -137,5 +238,28 @@ class LocalContractionCCSpec extends SparkSpec {
     val large = LocalContractionCC.run(spark, GraphGen.cycle(spark, 3000), 4, localThreshold = 4)
     assert(large.rounds > small.rounds)
     assert(large.rounds <= 20)
+  }
+
+  test("throws when the round cap leaves edges") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(60, 90, 11))
+    assert(LocalContractionCC.run(spark, df, 11, localThreshold = 0).rounds > 1)
+    val e = intercept[IllegalStateException](LocalContractionCC.run(spark, df, 11, localThreshold = 0, maxRounds = 1))
+    assert(e.getMessage.contains("LocalContractionCC") && e.getMessage.contains("1 phases"))
+  }
+
+  test("leaves nothing cached but the returned labels") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(60, 90, 11))
+    val before = MpcChecks.persisted(spark)
+    val res = LocalContractionCC.run(spark, df, 11, localThreshold = 4)
+    res.labels.unpersist()
+    assert(MpcChecks.persisted(spark) == before)
+  }
+
+  test("at most three Spark jobs per round, plus three per call") {
+    val df = TestGraphs.toDf(spark, TestGraphs.randomEdges(60, 90, 11))
+    val (res, jobs) = MpcChecks.withJobCount(spark)(LocalContractionCC.run(spark, df, 11, localThreshold = 0))
+    res.labels.unpersist()
+    assert(res.rounds > 1)
+    assert(jobs <= 3 * res.rounds + 3, s"$jobs jobs in ${res.rounds} rounds")
   }
 }
