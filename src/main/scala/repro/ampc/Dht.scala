@@ -11,12 +11,15 @@ import java.util.concurrent.ConcurrentHashMap
   * a previous round. What the real store charges in network latency and
   * bytes is *recorded* here (via [[Metrics]]) and priced by [[CostModel]].
   *
-  * Instances are serializable handles: closures capture only the store id
-  * and re-resolve the backing map lazily on the executor side.
+  * The store belongs to the run whose ledger it charges: it lives until
+  * `close()` or until the ledger closes. Instances are serializable
+  * handles: closures capture only the ledger handle and the store key, and
+  * re-resolve the backing map lazily on the executor side.
   */
-final class Dht[V](val id: String, metrics: Metrics) extends Serializable {
+final class Dht[V] private[ampc] (val tag: String, storeKey: Long, metrics: Metrics)
+    extends Serializable {
   @transient private lazy val map: ConcurrentHashMap[Long, (AnyRef, Int)] =
-    DhtRegistry.mapFor(id)
+    metrics.store(storeKey)
 
   /** Write a key-value pair of approximately `bytes` bytes. */
   def put(key: Long, value: V, bytes: Int): Unit = {
@@ -37,24 +40,13 @@ final class Dht[V](val id: String, metrics: Metrics) extends Serializable {
 
   def size: Int = map.size
 
-  def close(): Unit = DhtRegistry.drop(id)
+  def close(): Unit = metrics.closeStore(storeKey)
 }
 
 object DhtRegistry {
-  private val stores = new ConcurrentHashMap[String, ConcurrentHashMap[Long, (AnyRef, Int)]]()
-  private val counter = new java.util.concurrent.atomic.AtomicLong()
-
-  private[ampc] def mapFor(id: String): ConcurrentHashMap[Long, (AnyRef, Int)] =
-    stores.computeIfAbsent(id, _ => new ConcurrentHashMap[Long, (AnyRef, Int)]())
-
-  /** Create a fresh named store charging reads/writes to `metrics`. */
-  def create[V](tag: String, metrics: Metrics): Dht[V] = {
-    val d = new Dht[V](s"$tag-${counter.incrementAndGet()}", metrics)
-    mapFor(d.id)
-    d
-  }
-
-  private[ampc] def drop(id: String): Unit = stores.remove(id)
+  /** Create a fresh named store in the run of `metrics`, charging reads/writes to it. */
+  def create[V](tag: String, metrics: Metrics): Dht[V] =
+    new Dht[V](tag, metrics.openStore(new ConcurrentHashMap[Long, (AnyRef, Int)]()), metrics)
 }
 
 /** Per-run result cache — the paper's *caching optimization* (§5.3).
@@ -65,12 +57,17 @@ object DhtRegistry {
   * paper's per-machine arrays — strictly stronger, which only widens the
   * measured caching-vs-no-caching gap in the same direction the paper
   * reports). When disabled every probe misses, reproducing the
-  * caching-off ablation of Figure 4.
+  * caching-off ablation of Figure 4. Like a [[Dht]], the cache is a store
+  * of the run whose ledger it charges.
   */
-final class KvCache[V](val id: String, val enabled: Boolean, metrics: Metrics)
-    extends Serializable {
+final class KvCache[V] private[ampc] (
+    val tag: String,
+    val enabled: Boolean,
+    storeKey: Long,
+    metrics: Metrics,
+) extends Serializable {
   @transient private lazy val map: ConcurrentHashMap[Long, AnyRef] =
-    KvCache.mapFor(id)
+    metrics.store(storeKey)
 
   def get(key: Long): Option[V] =
     if (!enabled) None
@@ -85,21 +82,10 @@ final class KvCache[V](val id: String, val enabled: Boolean, metrics: Metrics)
 
   def size: Int = map.size
 
-  def close(): Unit = KvCache.drop(id)
+  def close(): Unit = metrics.closeStore(storeKey)
 }
 
 object KvCache {
-  private val caches = new ConcurrentHashMap[String, ConcurrentHashMap[Long, AnyRef]]()
-  private val counter = new java.util.concurrent.atomic.AtomicLong()
-
-  private def mapFor(id: String): ConcurrentHashMap[Long, AnyRef] =
-    caches.computeIfAbsent(id, _ => new ConcurrentHashMap[Long, AnyRef]())
-
-  def create[V](tag: String, enabled: Boolean, metrics: Metrics): KvCache[V] = {
-    val c = new KvCache[V](s"$tag-${counter.incrementAndGet()}", enabled, metrics)
-    mapFor(c.id)
-    c
-  }
-
-  private def drop(id: String): Unit = caches.remove(id)
+  def create[V](tag: String, enabled: Boolean, metrics: Metrics): KvCache[V] =
+    new KvCache[V](tag, enabled, metrics.openStore(new ConcurrentHashMap[Long, AnyRef]()), metrics)
 }

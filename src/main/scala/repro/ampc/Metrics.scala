@@ -1,7 +1,7 @@
 package repro.ampc
 
 import java.util.concurrent.ConcurrentHashMap
-import java.util.concurrent.atomic.{LongAccumulator, LongAdder}
+import java.util.concurrent.atomic.{AtomicLong, LongAccumulator, LongAdder}
 
 /** Immutable snapshot of the structural cost counters of one algorithm run.
   *
@@ -41,11 +41,14 @@ final case class RunMetrics(
   )
 }
 
-/** A mutable, thread-safe cost ledger for one algorithm run.
+/** A mutable, thread-safe cost ledger for one algorithm run, and the owner
+  * of the run's named stores ([[Dht]]s and [[KvCache]]s).
   *
   * Ledgers are registered JVM-globally by id so that closures running on
   * executor threads (same JVM under `local[*]`) can record into the ledger
-  * of the run that spawned them without serializing the ledger itself.
+  * of the run that spawned them, and reach its stores, without
+  * serializing the ledger itself. `close()` ends the run: it drops the
+  * counters and every store together.
   */
 final class Metrics private (val id: String) extends Serializable {
   @transient private lazy val state = Metrics.stateFor(id)
@@ -81,6 +84,20 @@ final class Metrics private (val id: String) extends Serializable {
     maxChainDepth = state.maxChain.get(),
   )
 
+  /** Add `store` to this run; returns the key that resolves it. */
+  private[ampc] def openStore(store: AnyRef): Long = {
+    val key = Metrics.counter.incrementAndGet()
+    state.stores.put(key, store)
+    key
+  }
+
+  private[ampc] def store[S](key: Long): S = Option(state.stores.get(key))
+    .getOrElse(throw new IllegalStateException(s"store $key of run $id is closed"))
+    .asInstanceOf[S]
+
+  private[ampc] def closeStore(key: Long): Unit = state.stores.remove(key): Unit
+
+  /** End the run: drop its counters and every store it still holds. */
   def close(): Unit = Metrics.drop(id)
 }
 
@@ -88,20 +105,25 @@ object Metrics {
   private final class State {
     val shuffles, shuffleBytes, kvQueries, kvReadBytes, kvWriteBytes, cacheHits = new LongAdder
     val maxChain = new LongAccumulator(java.lang.Long.max(_, _), 0L)
+    val stores = new ConcurrentHashMap[Long, AnyRef]()
   }
 
-  private val registry = new ConcurrentHashMap[String, State]()
-  private val counter = new java.util.concurrent.atomic.AtomicLong()
+  private val runs = new ConcurrentHashMap[String, State]()
+  /** Process-unique ids of ledgers and keys of stores. */
+  private val counter = new AtomicLong()
 
   private def stateFor(id: String): State =
-    registry.computeIfAbsent(id, _ => new State)
+    Option(runs.get(id)).getOrElse(throw new IllegalStateException(s"run $id is closed"))
 
   /** Create a fresh ledger with a process-unique id. */
   def fresh(tag: String): Metrics = {
     val m = new Metrics(s"$tag-${counter.incrementAndGet()}")
-    registry.computeIfAbsent(m.id, _ => new State)
+    runs.put(m.id, new State)
     m
   }
 
-  private def drop(id: String): Unit = registry.remove(id)
+  /** Runs whose ledger is not closed yet. */
+  private[ampc] def liveRuns: Int = runs.size
+
+  private def drop(id: String): Unit = Option(runs.remove(id)).foreach(_.stores.clear())
 }

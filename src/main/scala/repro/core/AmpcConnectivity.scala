@@ -14,6 +14,10 @@ import repro.ref.Reference
   *
   * Labels are canonical: the component id is the minimum root id of the
   * component, so they compare directly against the union-find oracle.
+  *
+  * On a forest this is also forest connectivity (the Prop. 3.2 analog):
+  * the truncated searches discover the trees, pointer jumping contracts
+  * them, and the tiny contracted remainder is solved in memory.
   */
 object AmpcConnectivity {
 
@@ -44,22 +48,8 @@ object AmpcConnectivity {
       .select(col("id"), compOf(col("root")) as "component")
       .persist()
     val num = labels.select("component").distinct().count()
+    // `labels` is materialised, so the mapping it was computed from can go.
+    msf.mapping.unpersist()
     Result(labels, num, msf.metrics)
   }
-}
-
-/** Forest connectivity (the Prop. 3.2 analog): component labels of a
-  * graph that is promised to be a forest. The paper's implementation and
-  * ours coincide with general connectivity run on the forest — the
-  * truncated searches discover the trees, pointer jumping contracts them,
-  * and the (tiny) contracted remainder is solved in memory.
-  */
-object ForestConnectivity {
-  def labels(
-      spark: SparkSession,
-      forestEdges: DataFrame,
-      seed: Long,
-      searchBudget: Int = 64,
-  ): AmpcConnectivity.Result =
-    AmpcConnectivity.run(spark, forestEdges, seed, searchBudget)
 }

@@ -45,66 +45,39 @@ object AmpcMatching {
       budgetGrowth: Long = 16,
   ): Result = {
     import spark.implicits._
+    val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
+    // The single shuffle: group incident edges per vertex, sorted by rank.
+    val adj = sym
+      .groupByKey(_._1)
+      .mapGroups { (v, it) =>
+        val pairs = it.map { case (_, u) => (Priorities.edgeRank(v, u, seed), u) }.toArray
+        val sorted = pairs.sortBy { case (r, u) => (r, u) }
+        (v, EdgeAdj(sorted.map(_._1), sorted.map(_._2)))
+      }
+      .persist()
     val metrics = Metrics.fresh("ampc-mm")
-    val dht = DhtRegistry.create[EdgeAdj]("mm-adj", metrics)
-    // Per-vertex caches (the §5.4 caching optimization): matched partner,
-    // and "finished up to rank R" watermark.
-    val matchedCache = KvCache.create[Long]("mm-matched", caching, metrics)
-    val finishedCache = KvCache.create[Long]("mm-finished", caching, metrics)
     try {
-      val m = edges.count()
-      val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
-
-      // The single shuffle: group incident edges per vertex, sorted by rank.
-      metrics.shuffle(2 * m * GraphOps.EdgeBytes)
-      val adj = sym
-        .groupByKey(_._1)
-        .mapGroups { (v, it) =>
-          val pairs = it.map { case (_, u) => (Priorities.edgeRank(v, u, seed), u) }.toArray
-          val sorted = pairs.sortBy { case (r, u) => (r, u) }
-          (v, EdgeAdj(sorted.map(_._1), sorted.map(_._2)))
-        }
-        .persist()
+      val dht = DhtRegistry.create[EdgeAdj]("mm-adj", metrics)
+      // Per-vertex caches (the §5.4 caching optimization): matched partner,
+      // and "finished up to rank R" watermark.
+      val matchedCache = KvCache.create[Long]("mm-matched", caching, metrics)
+      val finishedCache = KvCache.create[Long]("mm-finished", caching, metrics)
+      metrics.shuffle(2 * edges.count() * GraphOps.EdgeBytes)
 
       adj.foreachPartition { it: Iterator[(Long, EdgeAdj)] =>
         it.foreach { case (v, a) => dht.put(v, a, 16 * a.length + 8) }
       }
 
-      var pending = adj
-      var passes = 0
-      var budget = queryBudget
-      val matched = scala.collection.mutable.Set.empty[(Long, Long)]
-      var done = false
-      while (!done) {
-        passes += 1
-        val b = budget
-        val out = pending
-          .mapPartitions { it =>
-            it.map { case (v, a) =>
-              MatchingProcess.vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b) match {
-                case Some(partnerOpt) => (v, partnerOpt.getOrElse(-1L), false)
-                case None             => (v, -1L, true) // truncated
-              }
-            }
-          }
-          .collect()
-        out.foreach { case (v, p, trunc) =>
-          if (!trunc && p >= 0) matched += ((math.min(v, p), math.max(v, p)))
-        }
-        val unresolved = out.collect { case (v, _, true) => v }
-        if (unresolved.isEmpty) done = true
-        else {
-          budget =
-            if (budget >= Long.MaxValue / budgetGrowth) Long.MaxValue
-            else budget * budgetGrowth
-          val un = unresolved.toSet
-          pending = pending.filter(p => un(p._1))
-        }
+      // Partner of each resolved vertex, -1 when it ends unmatched.
+      val (partners, passes) = QueryPasses.run(adj, queryBudget, budgetGrowth) { (v, a, b) =>
+        MatchingProcess
+          .vertexProcess(v, a, seed, dht, matchedCache, finishedCache, metrics, b)
+          .map(_.getOrElse(-1L))
       }
-      adj.unpersist()
+      val matched = partners.collect { case (v, p) if p >= 0 => (math.min(v, p), math.max(v, p)) }
       Result(matched.toSet, passes, metrics.snapshot)
     } finally {
-      dht.close(); matchedCache.close(); finishedCache.close(); metrics.close()
+      adj.unpersist(); metrics.close()
     }
   }
 }

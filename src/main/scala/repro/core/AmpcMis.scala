@@ -41,28 +41,26 @@ object AmpcMis {
       budgetGrowth: Long = 16,
   ): Result = {
     import spark.implicits._
+    val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
+    // Step (1): DirectEdgesUsingPriority — the algorithm's one shuffle.
+    val directed = sym
+      .groupByKey(_._1)
+      .mapGroups { (v, it) =>
+        val vr = Priorities.vertexRank(v, seed)
+        val preds = it
+          .map(_._2)
+          .filter(u => Priorities.precedes(Priorities.vertexRank(u, seed), u, vr, v))
+          .toArray
+        (v, preds.sortBy(u => (Priorities.vertexRank(u, seed), u)))
+      }
+      .persist()
     val metrics = Metrics.fresh("ampc-mis")
-    val dht = DhtRegistry.create[Array[Long]]("mis-adj", metrics)
-    val cache = KvCache.create[Boolean]("mis-res", caching, metrics)
     try {
-      val m = edges.count()
-      val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
-
-      // Step (1): DirectEdgesUsingPriority — the algorithm's one shuffle.
+      val dht = DhtRegistry.create[Array[Long]]("mis-adj", metrics)
+      val cache = KvCache.create[Boolean]("mis-res", caching, metrics)
       // Each undirected edge survives in exactly one direction, so the
       // shuffle moves ~m directed rows.
-      metrics.shuffle(m * GraphOps.EdgeBytes)
-      val directed = sym
-        .groupByKey(_._1)
-        .mapGroups { (v, it) =>
-          val vr = Priorities.vertexRank(v, seed)
-          val preds = it
-            .map(_._2)
-            .filter(u => Priorities.precedes(Priorities.vertexRank(u, seed), u, vr, v))
-            .toArray
-          (v, preds.sortBy(u => (Priorities.vertexRank(u, seed), u)))
-        }
-        .persist()
+      metrics.shuffle(edges.count() * GraphOps.EdgeBytes)
 
       // Step (2): write the directed graph to the key-value store.
       directed.foreachPartition { it: Iterator[(Long, Array[Long])] =>
@@ -70,39 +68,12 @@ object AmpcMis {
       }
 
       // Step (3): ParDo the IsInMIS query process over all vertices.
-      var pending = directed
-      var passes = 0
-      var budget = queryBudget
-      val misBuf = scala.collection.mutable.Set.empty[Long]
-      var done = false
-      while (!done) {
-        passes += 1
-        val b = budget
-        val out = pending
-          .mapPartitions { it =>
-            it.map { case (v, adj) =>
-              QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b) match {
-                case Some(in) => (v, if (in) 1 else 0)
-                case None     => (v, 2) // truncated — retry next pass
-              }
-            }
-          }
-          .collect()
-        out.foreach { case (v, s) => if (s == 1) misBuf += v }
-        val unresolved = out.collect { case (v, 2) => v }
-        if (unresolved.isEmpty) done = true
-        else {
-          budget =
-            if (budget >= Long.MaxValue / budgetGrowth) Long.MaxValue
-            else budget * budgetGrowth
-          val un = unresolved.toSet
-          pending = pending.filter(p => un(p._1))
-        }
+      val (answers, passes) = QueryPasses.run(directed, queryBudget, budgetGrowth) { (v, adj, b) =>
+        QueryProcess.inMis(v, adj, seed, dht, cache, metrics, b)
       }
-      directed.unpersist()
-      Result(misBuf.toSet, passes, metrics.snapshot)
+      Result(answers.collect { case (v, true) => v }.toSet, passes, metrics.snapshot)
     } finally {
-      dht.close(); cache.close(); metrics.close()
+      directed.unpersist(); metrics.close()
     }
   }
 }

@@ -69,73 +69,76 @@ object AmpcMsf {
       searchBudget: Int = 64,
   ): Result = {
     import spark.implicits._
+    // The pipeline is planned first and run inside `try`, so that every
+    // persisted Dataset is unpersisted however the run ends.
+    val sym = GraphOps
+      .symmetrize(weightedEdges.select("src", "dst", "weight"))
+      .as[(Long, Long, Double)]
+    // Part 1: SortGraph (shuffle 1) + KV-Write.
+    val adj = sym
+      .groupByKey(_._1)
+      .mapGroups { (v, it) =>
+        val arr = it.map { case (_, u, w) => (u, w) }.toArray
+        val sorted = arr.sortBy { case (u, w) => (w, math.min(v, u), math.max(v, u)) }
+        (v, WeightAdj(sorted.map(_._1), sorted.map(_._2)))
+      }
+      .persist()
     val metrics = Metrics.fresh("ampc-msf")
     val adjDht = DhtRegistry.create[WeightAdj]("msf-adj", metrics)
     val parentDht = DhtRegistry.create[Long]("msf-parent", metrics)
     val rootCache = KvCache.create[Long]("msf-root", enabled = true, metrics)
-    try {
-      val m = weightedEdges.count()
-      val sym = GraphOps
-        .symmetrize(weightedEdges.select("src", "dst", "weight"))
-        .as[(Long, Long, Double)]
 
-      // Part 1: SortGraph (shuffle 1) + KV-Write.
-      metrics.shuffle(2 * m * GraphOps.WeightedEdgeBytes)
-      val adj = sym
-        .groupByKey(_._1)
-        .mapGroups { (v, it) =>
-          val arr = it.map { case (_, u, w) => (u, w) }.toArray
-          val sorted = arr.sortBy { case (u, w) => (w, math.min(v, u), math.max(v, u)) }
-          (v, WeightAdj(sorted.map(_._1), sorted.map(_._2)))
+    // Part 2: PrimSearch from every vertex.
+    val budget = searchBudget
+    val searchOut = adj
+      .mapPartitions { it =>
+        it.flatMap { case (v, a) =>
+          TruncatedPrim.search(v, a, seed, adjDht, metrics, budget)
         }
-        .persist()
+      }
+      .persist()
+
+    // Shuffle 2: combine visit tuples per visited vertex, selecting the
+    // highest-priority (lowest-rank) visitor as its parent. (The MSF
+    // edges emitted by the searches ride along in the same round.)
+    val visits = searchOut.filter(_.kind == 1)
+    val parents = visits
+      .groupByKey(_.a)
+      .mapGroups { (child, it) =>
+        val best = it
+          .map(_.b)
+          .reduceLeft { (x, y) =>
+            if (Priorities.precedes(
+                  Priorities.vertexRank(x, seed), x,
+                  Priorities.vertexRank(y, seed), y)) x
+            else y
+          }
+        (child, best)
+      }
+      .persist()
+
+    // Shuffle 3: pointer-jump construction — materialize vertex → root.
+    val mapping = adj
+      .mapPartitions { it =>
+        it.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }
+      }
+      .toDF("id", "root")
+      .persist()
+    try {
+      // Shuffle 1, then the KV-Write of the sorted graph.
+      val m = weightedEdges.count()
+      metrics.shuffle(2 * m * GraphOps.WeightedEdgeBytes)
       adj.foreachPartition { it: Iterator[(Long, WeightAdj)] =>
         it.foreach { case (v, a) => adjDht.put(v, a, 16 * a.length + 8) }
       }
-
-      // Part 2: PrimSearch from every vertex.
-      val budget = searchBudget
-      val searchOut = adj
-        .mapPartitions { it =>
-          it.flatMap { case (v, a) =>
-            TruncatedPrim.search(v, a, seed, adjDht, metrics, budget)
-          }
-        }
-        .persist()
-
-      // Shuffle 2: combine visit tuples per visited vertex, selecting the
-      // highest-priority (lowest-rank) visitor as its parent. (The MSF
-      // edges emitted by the searches ride along in the same round.)
-      val visits = searchOut.filter(_.kind == 1)
-      val visitCount = visits.count()
-      metrics.shuffle(visitCount * GraphOps.EdgeBytes)
-      val parents = visits
-        .groupByKey(_.a)
-        .mapGroups { (child, it) =>
-          val best = it
-            .map(_.b)
-            .reduceLeft { (x, y) =>
-              if (Priorities.precedes(
-                    Priorities.vertexRank(x, seed), x,
-                    Priorities.vertexRank(y, seed), y)) x
-              else y
-            }
-          (child, best)
-        }
-        .persist()
+      // Shuffle 2 (counting the visits runs the searches), then the
+      // KV-Write of the parents.
+      metrics.shuffle(visits.count() * GraphOps.EdgeBytes)
       parents.foreachPartition { it: Iterator[(Long, Long)] =>
         it.foreach { case (c, p) => parentDht.put(c, p, 16) }
       }
-
-      // Shuffle 3: pointer-jump construction — materialize vertex → root.
-      val nVertices = adj.count()
-      metrics.shuffle(nVertices * GraphOps.EdgeBytes)
-      val mapping = adj
-        .mapPartitions { it =>
-          it.map { case (v, _) => (v, PointerJump.root(v, parentDht, rootCache, metrics)) }
-        }
-        .toDF("id", "root")
-        .persist()
+      // Shuffle 3: one mapping row per vertex.
+      metrics.shuffle(adj.count() * GraphOps.EdgeBytes)
 
       // Shuffles 4–5: contract the graph through the mapping.
       metrics.shuffle(m * GraphOps.WeightedEdgeBytes)
@@ -175,10 +178,11 @@ object AmpcMsf {
 
       val msf = (primEdges ++ extra).distinct
       val nContracted = contracted.flatMap(c => Seq(c._1, c._2)).distinct.size.toLong
-      searchOut.unpersist(); adj.unpersist(); parents.unpersist()
       Result(msf, mapping, contracted, nContracted, metrics.snapshot)
+    } catch {
+      case e: Throwable => mapping.unpersist(); throw e
     } finally {
-      adjDht.close(); parentDht.close(); rootCache.close(); metrics.close()
+      searchOut.unpersist(); adj.unpersist(); parents.unpersist(); metrics.close()
     }
   }
 }

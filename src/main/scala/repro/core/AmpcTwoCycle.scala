@@ -44,18 +44,16 @@ object AmpcTwoCycle {
       sampleInv: Int = 64,
   ): Result = {
     import spark.implicits._
+    val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
+    // The single shuffle: per-vertex adjacency, written to the DHT.
+    val adj = sym
+      .groupByKey(_._1)
+      .mapGroups { (v, it) => (v, it.map(_._2).toArray.sorted) }
+      .persist()
     val metrics = Metrics.fresh("ampc-2cyc")
-    val dht = DhtRegistry.create[Array[Long]]("2cyc-adj", metrics)
     try {
-      val m = edges.count()
-      val sym = GraphOps.symmetrize(edges.select("src", "dst")).as[(Long, Long)]
-
-      // The single shuffle: per-vertex adjacency, written to the DHT.
-      metrics.shuffle(2 * m * GraphOps.EdgeBytes)
-      val adj = sym
-        .groupByKey(_._1)
-        .mapGroups { (v, it) => (v, it.map(_._2).toArray.sorted) }
-        .persist()
+      val dht = DhtRegistry.create[Array[Long]]("2cyc-adj", metrics)
+      metrics.shuffle(2 * edges.count() * GraphOps.EdgeBytes)
       adj.foreachPartition { it: Iterator[(Long, Array[Long])] =>
         it.foreach { case (v, a) => dht.put(v, a, 8 * a.length + 8) }
       }
@@ -126,10 +124,9 @@ object AmpcTwoCycle {
         crossOnce.map(_.interior).sum + selfOnce.map(_.interior).sum + sampledIds.length.toLong
       val exact = covered >= n
       val num = comps + (if (exact) 0L else 1L)
-      adj.unpersist()
       Result(num, exact, sampledIds.length.toLong, math.min(covered, n), metrics.snapshot)
     } finally {
-      dht.close(); metrics.close()
+      adj.unpersist(); metrics.close()
     }
   }
 }

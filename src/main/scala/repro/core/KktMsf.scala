@@ -20,7 +20,10 @@ import repro.trees.{HeavyLight, RootedTree}
   */
 object FLightEdges {
 
-  /** Returns G's F-light edges as a DataFrame (src, dst, weight). */
+  /** Returns G's F-light edges as a DataFrame (src, dst, weight). Its two
+    * DHTs are stores of the run of `metrics` and close with it, so the
+    * result must be materialised before that run ends.
+    */
   def classify(
       spark: SparkSession,
       graphEdges: DataFrame,
@@ -97,10 +100,12 @@ object KktMsf {
       val sampledCount = h.count()
 
       val fRes = AmpcMsf.run(spark, h, seed, searchBudget)
+      fRes.mapping.unpersist()
       val light = FLightEdges.classify(spark, weightedEdges, fRes.msf, metrics).persist()
       val lightCount = light.count()
 
       val finalRes = AmpcMsf.run(spark, light, seed + 1, searchBudget)
+      finalRes.mapping.unpersist()
       light.unpersist()
       Result(
         finalRes.msf,

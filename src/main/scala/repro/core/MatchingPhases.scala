@@ -14,7 +14,8 @@ import repro.graphs.GraphOps
   * prefix thresholds grow monotonically, the union of phase matchings is
   * exactly the global lexicographically-first matching for π — which the
   * tests verify against the sequential oracle and against
-  * [[AmpcMatching]].
+  * [[AmpcMatching]]. With edges left after `maxPhases` phases it throws
+  * `IllegalStateException` rather than return a partial matching.
   */
 object MatchingPhases {
 
@@ -72,6 +73,9 @@ object MatchingPhases {
         done = g.isEmpty
       }
     }
+    if (!done)
+      throw new IllegalStateException(
+        s"MatchingPhases reached its cap of $phase phases with ${g.count()} edges left")
     Result(matched, phase, metrics)
   }
 

@@ -72,20 +72,36 @@ class DhtSpec extends AnyFunSuite {
     a.close(); b.close(); m.close()
   }
 
-  test("handles survive serialization (closure capture)") {
-    val m = Metrics.fresh("dht5")
-    val d = DhtRegistry.create[String]("t", m)
-    d.put(7L, "v", 1)
+  /** A copy of `d` as a task receives it: a fresh handle that resolves
+    * its store lazily.
+    */
+  private def roundTrip(d: Dht[String]): Dht[String] = {
     val bytes = {
       val bo = new java.io.ByteArrayOutputStream()
       val oo = new java.io.ObjectOutputStream(bo)
       oo.writeObject(d); oo.close(); bo.toByteArray
     }
-    val d2 = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes))
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes))
       .readObject()
       .asInstanceOf[Dht[String]]
+  }
+
+  test("handles survive serialization (closure capture)") {
+    val m = Metrics.fresh("dht5")
+    val d = DhtRegistry.create[String]("t", m)
+    d.put(7L, "v", 1)
+    val d2 = roundTrip(d)
     assert(d2.get(7L).contains("v"))
     d.close(); m.close()
+  }
+
+  test("reading a store of a closed run throws") {
+    val m = Metrics.fresh("dht6")
+    val d = DhtRegistry.create[String]("t", m)
+    d.put(7L, "v", 1)
+    val d2 = roundTrip(d)
+    m.close()
+    intercept[IllegalStateException](d2.get(7L))
   }
 }
 

@@ -52,6 +52,12 @@ class AmpcMisSpec extends SparkSpec {
     assert(res.passes > 1) // truncation forced extra rounds
   }
 
+  test("a budget that cannot grow is rejected once a query is truncated") {
+    val df = TestGraphs.toDf(spark, TestGraphs.connectedEdges(30, 20, 7))
+    intercept[IllegalArgumentException](
+      AmpcMis.run(spark, df, 7, caching = false, queryBudget = 2, budgetGrowth = 1))
+  }
+
   test("MIS on a path alternates from the global minimum-rank vertex") {
     val path = (0 until 12).map(i => (i.toLong, (i + 1).toLong))
     val df = TestGraphs.toDf(spark, path)

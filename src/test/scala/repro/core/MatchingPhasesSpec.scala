@@ -34,6 +34,17 @@ class MatchingPhasesSpec extends SparkSpec {
     assert(Reference.isMaximalMatching(path, res.matching))
   }
 
+  test("reaching the phase cap with edges left throws") {
+    // Star degree 100 > 10·ln 121, so phase 1 keeps only a rank prefix of
+    // the star and of the ten disjoint edges beside it.
+    val star = (1L to 100L).map(i => (0L, i))
+    val pairs = (0L until 10L).map(i => (1000 + 2 * i, 1001 + 2 * i))
+    val e = intercept[IllegalStateException] {
+      MatchingPhases.run(spark, TestGraphs.toDf(spark, star ++ pairs), 5, maxPhases = 1)
+    }
+    assert(e.getMessage.startsWith("MatchingPhases reached its cap of 1 phases with "), e.getMessage)
+  }
+
   test("empty-after-phase-1 graphs terminate") {
     val single = Seq((1L, 2L))
     val res = MatchingPhases.run(spark, TestGraphs.toDf(spark, single), 3)
